@@ -34,23 +34,37 @@ pub struct ExpArgs {
     pub n_splits: usize,
 }
 
-/// Parses `--scale`, `--seed`, `--splits` from `std::env::args`.
+/// Parses `--scale`, `--seed`, `--splits` from `std::env::args`. Exits
+/// the process with status 2 on an unknown or missing `--scale` value.
 pub fn parse_args() -> ExpArgs {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse(argv: &[String]) -> Result<ExpArgs, String> {
     let mut args = ExpArgs {
         scale: Scale::Default,
         seed: 42,
         n_splits: 3,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
+    let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--scale" => {
                 i += 1;
                 args.scale = match argv.get(i).map(String::as_str) {
                     Some("tiny") => Scale::Tiny,
+                    Some("default") => Scale::Default,
                     Some("paper") => Scale::Paper,
-                    _ => Scale::Default,
+                    other => {
+                        return Err(format!(
+                            "--scale expects one of tiny|default|paper, got {}",
+                            other.map_or("nothing".to_string(), |v| format!("{v:?}"))
+                        ))
+                    }
                 };
             }
             "--seed" => {
@@ -65,7 +79,7 @@ pub fn parse_args() -> ExpArgs {
         }
         i += 1;
     }
-    args
+    Ok(args)
 }
 
 /// Which dataset an experiment context wraps.
@@ -180,5 +194,31 @@ impl ExpContext {
     /// Total SymISO matching time over all metagraphs.
     pub fn total_match_time(&self) -> Duration {
         self.match_times.iter().sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(argv: &[&str]) -> Result<ExpArgs, String> {
+        parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_accepts_the_three_names_and_rejects_the_rest() {
+        assert_eq!(parse_strs(&[]).unwrap().scale, Scale::Default);
+        for (name, scale) in [
+            ("tiny", Scale::Tiny),
+            ("default", Scale::Default),
+            ("paper", Scale::Paper),
+        ] {
+            let args = parse_strs(&["--scale", name, "--seed", "7"]).unwrap();
+            assert_eq!((args.scale, args.seed), (scale, 7));
+        }
+        for bad in [&["--scale", "bogus"][..], &["--scale"][..]] {
+            let err = parse_strs(bad).unwrap_err();
+            assert!(err.contains("tiny|default|paper"), "{err}");
+        }
     }
 }

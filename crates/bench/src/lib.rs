@@ -1,8 +1,8 @@
 //! # mgp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Sect. V), plus
-//! criterion micro-benchmarks. Every binary prints the same rows/series the
-//! paper reports and writes CSV to `target/experiments/`.
+//! One binary per table/figure of the paper's evaluation (Sect. V). Every
+//! binary prints the same rows/series the paper reports and writes CSV to
+//! `target/experiments/`.
 //!
 //! | Binary | Artefact |
 //! |--------|----------|

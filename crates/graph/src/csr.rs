@@ -2,6 +2,7 @@
 
 use crate::{NodeId, TypeId, TypeRegistry};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// An immutable, undirected, typed object graph in compressed-sparse-row form.
 ///
@@ -17,8 +18,11 @@ use serde::{Deserialize, Serialize};
 ///   are binary searches.
 /// * `type_nodes` / `type_offsets` is a second CSR over types: all node ids
 ///   of a type, used to seed subgraph matching.
-/// * `edge_type_counts` is a dense `|T| × |T|` matrix of edge counts per
-///   unordered type pair, feeding the matching-order heuristic (Sect. IV-C).
+/// * `edge_type_pairs` / `edge_type_counts` hold the edge count of every
+///   unordered type pair `(lo, hi)`, `lo <= hi`, that has at least one
+///   edge: keys sorted ascending, counts positive. Feeds the
+///   matching-order heuristic (Sect. IV-C); sparse because a schema with
+///   `|T|` types has far fewer than `|T|²` connected pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph {
     // Fields are crate-visible so the incremental extension path
@@ -30,6 +34,7 @@ pub struct Graph {
     pub(crate) adjacency: Vec<NodeId>,
     pub(crate) type_offsets: Vec<u32>,
     pub(crate) type_nodes: Vec<NodeId>,
+    pub(crate) edge_type_pairs: Vec<(TypeId, TypeId)>,
     pub(crate) edge_type_counts: Vec<u64>,
     pub(crate) n_edges: u64,
 }
@@ -91,12 +96,12 @@ impl Graph {
         // Node ids within a type are emitted in increasing order already.
 
         // Edge-type-pair statistics (unordered; diagonal counted once).
-        let mut edge_type_counts = vec![0u64; t * t];
+        let mut pair_counts: BTreeMap<(TypeId, TypeId), u64> = BTreeMap::new();
         for &(a, b) in edges {
-            let (ta, tb) = (node_types[a.index()], node_types[b.index()]);
-            let (lo, hi) = if ta <= tb { (ta, tb) } else { (tb, ta) };
-            edge_type_counts[lo.index() * t + hi.index()] += 1;
+            let key = type_pair(node_types[a.index()], node_types[b.index()]);
+            *pair_counts.entry(key).or_insert(0) += 1;
         }
+        let (edge_type_pairs, edge_type_counts) = pair_counts.into_iter().unzip();
 
         Graph {
             types,
@@ -106,6 +111,7 @@ impl Graph {
             adjacency,
             type_offsets,
             type_nodes,
+            edge_type_pairs,
             edge_type_counts,
             n_edges: edges.len() as u64,
         }
@@ -223,12 +229,9 @@ impl Graph {
 
     /// Number of edges whose endpoint types are `{t1, t2}` (unordered).
     pub fn edge_type_count(&self, t1: TypeId, t2: TypeId) -> u64 {
-        let t = self.types.len();
-        if t1.index() >= t || t2.index() >= t {
-            return 0;
-        }
-        let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-        self.edge_type_counts[lo.index() * t + hi.index()]
+        self.edge_type_pairs
+            .binary_search(&type_pair(t1, t2))
+            .map_or(0, |i| self.edge_type_counts[i])
     }
 
     /// Iterates all node ids `0..n`.
@@ -250,6 +253,17 @@ impl Graph {
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
+    }
+}
+
+/// The statistics key of an edge between types `a` and `b`: the pair in
+/// ascending order.
+#[inline]
+pub(crate) fn type_pair(a: TypeId, b: TypeId) -> (TypeId, TypeId) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
     }
 }
 

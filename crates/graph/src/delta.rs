@@ -30,8 +30,9 @@
 //!   In particular, edges inserted towards a node that the same batch
 //!   removes do land — the removal detaches the node's *current* edges.
 
-use crate::csr::Graph;
+use crate::csr::{type_pair, Graph};
 use crate::{GraphError, NodeId, TypeId};
+use std::collections::BTreeMap;
 
 /// A batch of churn against a fixed base graph: new nodes (each with a
 /// type already registered in the base), new undirected edges among old
@@ -522,17 +523,42 @@ impl Graph {
             }
         }
 
-        // Edge-type statistics pick up the new edges and shed the doomed.
-        let mut edge_type_counts = self.edge_type_counts.clone();
-        for &(a, b) in &new_edges {
-            let (ta, tb) = (node_types[a.index()], node_types[b.index()]);
-            let (lo, hi) = if ta <= tb { (ta, tb) } else { (tb, ta) };
-            edge_type_counts[lo.index() * t + hi.index()] += 1;
+        // Edge-type statistics pick up the new edges and shed the doomed:
+        // the delta's per-pair changes, sorted by key, merge into the
+        // sorted count columns; a pair whose last edge went drops out.
+        let mut changes: BTreeMap<(TypeId, TypeId), i64> = BTreeMap::new();
+        for (edges, step) in [(&new_edges, 1), (&doomed, -1)] {
+            for &(a, b) in edges {
+                let key = type_pair(node_types[a.index()], node_types[b.index()]);
+                *changes.entry(key).or_insert(0) += step;
+            }
         }
-        for &(a, b) in &doomed {
-            let (ta, tb) = (node_types[a.index()], node_types[b.index()]);
-            let (lo, hi) = if ta <= tb { (ta, tb) } else { (tb, ta) };
-            edge_type_counts[lo.index() * t + hi.index()] -= 1;
+        let (mut edge_type_pairs, mut edge_type_counts) = (Vec::new(), Vec::new());
+        let mut push = |key, count: u64| {
+            if count > 0 {
+                edge_type_pairs.push(key);
+                edge_type_counts.push(count);
+            }
+        };
+        let mut old = self
+            .edge_type_pairs
+            .iter()
+            .copied()
+            .zip(self.edge_type_counts.iter().copied())
+            .peekable();
+        for (key, change) in changes {
+            while let Some((k, c)) = old.next_if(|&(k, _)| k < key) {
+                push(k, c);
+            }
+            let base = old.next_if(|&(k, _)| k == key).map_or(0, |(_, c)| c);
+            push(
+                key,
+                base.checked_add_signed(change)
+                    .expect("a doomed edge is counted in its type pair"),
+            );
+        }
+        for (k, c) in old {
+            push(k, c);
         }
 
         let graph = Graph {
@@ -543,6 +569,7 @@ impl Graph {
             adjacency,
             type_offsets,
             type_nodes,
+            edge_type_pairs,
             edge_type_counts,
             n_edges: self.n_edges + new_edges.len() as u64 - doomed.len() as u64,
         };

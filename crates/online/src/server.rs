@@ -1698,28 +1698,6 @@ impl QueryServer {
         self.try_rank_grid(&[class_id], queries, k)
     }
 
-    /// Single-threaded, cache-bypassing reference path: ranks each query
-    /// in order with one reused scratch. Used by differential tests and
-    /// the `bench_serving` baseline comparisons.
-    pub fn rank_batch_sequential(
-        &self,
-        class_id: usize,
-        queries: &[NodeId],
-        k: usize,
-    ) -> Vec<Arc<RankedList>> {
-        let _ = self.class(class_id);
-        let mut scratch = Scratch::default();
-        queries
-            .iter()
-            .map(|&q| {
-                let mut list = RankedList::new();
-                self.snapshot(q.0)
-                    .rank_into(class_id, q, k, &mut scratch, &mut list);
-                Arc::new(list)
-            })
-            .collect()
-    }
-
     /// The batch form of [`QueryServer::rank_multi`]: ranks every query
     /// for every class in `class_ids`, returning `result[i][j]` for query
     /// `i` under class `class_ids[j]`. Pins one epoch snapshot per
@@ -1965,31 +1943,11 @@ impl QueryServer {
     /// After planning, the affected shards are **independent**: each
     /// clone/replay/swap touches only its own slot. A wide delta
     /// therefore fans the shard patching across the rayon pool (one
-    /// reusable scratch per worker);
-    /// [`QueryServer::apply_delta_fused_sequential`] is the
-    /// single-threaded replay the benches and differential tests compare
-    /// against.
+    /// reusable scratch per worker), sized by [`ServeConfig::workers`].
     ///
     /// # Panics
     /// Panics on an unknown class id or a class appearing twice.
     pub fn apply_delta_fused(&self, updates: &[ClassDelta<'_>]) -> FusedDeltaStats {
-        self.apply_delta_fused_inner(updates, true)
-    }
-
-    /// [`QueryServer::apply_delta_fused`] with the per-shard patching
-    /// replayed sequentially on the calling thread — the differential
-    /// baseline for the parallel fan-out (bit-identical results and
-    /// stats, minus the parallelism). `bench_incremental`'s wide-ingest
-    /// section measures the speedup between the two.
-    pub fn apply_delta_fused_sequential(&self, updates: &[ClassDelta<'_>]) -> FusedDeltaStats {
-        self.apply_delta_fused_inner(updates, false)
-    }
-
-    fn apply_delta_fused_inner(
-        &self,
-        updates: &[ClassDelta<'_>],
-        parallel: bool,
-    ) -> FusedDeltaStats {
         // Lock order: writer locks in ascending class id (so concurrent
         // fused writers with overlapping class sets cannot deadlock),
         // then per-shard patch locks, at most one held per worker.
@@ -2083,13 +2041,9 @@ impl QueryServer {
         // The affected shards are independent (each worker touches only
         // its own slots), so a wide delta fans the clone+replay+swap
         // across the rayon pool in contiguous chunks, one reusable
-        // scratch per worker. Narrow deltas (or the sequential baseline)
+        // scratch per worker. Narrow deltas (or a one-worker server)
         // replay inline — no pool round-trip for the common 1-shard case.
-        let workers = if parallel {
-            self.workers.min(affected.len()).max(1)
-        } else {
-            1
-        };
+        let workers = self.workers.min(affected.len()).max(1);
         if workers <= 1 {
             let mut scratch = PatchScratch::default();
             for ((&sid, ops_row), stats_row) in affected
@@ -2123,7 +2077,7 @@ impl QueryServer {
 
         // Fold the replay stats back into the planning stats. Every
         // counter is a sum, so the shard fold order cannot change the
-        // per-class totals — parallel and sequential replay report
+        // per-class totals — inline and fanned-out replay report
         // identical stats.
         for stats_row in stats_grid {
             for (pi, st) in stats_row.into_iter().enumerate() {
@@ -2475,14 +2429,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_and_reference() {
+    fn batch_matches_reference() {
         let (srv, idx, w) = server(0);
         let queries: Vec<NodeId> = (0..40).map(|i| NodeId(i % 5)).collect();
         let batch = srv.rank_batch(0, &queries, 3);
-        let seq = srv.rank_batch_sequential(0, &queries, 3);
         assert_eq!(batch.len(), queries.len());
-        for ((b, s), &q) in batch.iter().zip(&seq).zip(&queries) {
-            assert_eq!(**b, **s);
+        for (b, &q) in batch.iter().zip(&queries) {
             assert_eq!(**b, reference(&idx, &w, q, 3));
         }
     }
@@ -3109,11 +3061,24 @@ mod tests {
     #[test]
     fn parallel_and_sequential_fused_replay_are_bit_identical() {
         // The same wide two-class churn (touching anchors in every
-        // shard) lands on two servers: one replays phase 5 through the
-        // rayon fan-out, the other through the sequential baseline.
-        // Stats, tables, and rankings must all be bit-identical.
-        let (par, mut idx_p, wa, wb) = two_class_server(0);
-        let (seq, mut idx_s, _, _) = two_class_server(0);
+        // shard) lands on two servers with the same shard layout: one
+        // with four workers replays phase 5 through the rayon fan-out,
+        // the other with one worker replays it inline. Stats, tables,
+        // and rankings must all be bit-identical.
+        let with_workers = |workers| {
+            let idx = sample_index();
+            let mut srv = QueryServer::new(ServeConfig {
+                workers,
+                shards: 3,
+                cache_capacity: 0,
+            });
+            srv.add_class("a", &idx, &[0.7, 0.3]);
+            srv.add_class("b", &idx, &[0.2, 0.8]);
+            (srv, idx)
+        };
+        let (par, mut idx_p) = with_workers(4);
+        let (seq, mut idx_s) = with_workers(1);
+        let (wa, wb) = (vec![0.7, 0.3], vec![0.2, 0.8]);
 
         let mut d = count_delta(
             &[(1, 2), (2, 2), (4, 3), (5, 3)],
@@ -3144,7 +3109,7 @@ mod tests {
             },
         ]);
         let ts = idx_s.apply_delta(&d);
-        let fs = seq.apply_delta_fused_sequential(&[
+        let fs = seq.apply_delta_fused(&[
             ClassDelta {
                 class_id: 0,
                 index: &idx_s,
